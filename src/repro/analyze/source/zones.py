@@ -105,12 +105,9 @@ DEFAULT_MANIFEST = ZoneManifest([
     ("repro.experiments.harness", ("report",)),
     # The process-pool executor: retry/backoff exception hygiene.
     ("repro.exec.executor", ("retry", "dispatch")),
-    # The compile-side cache: artifact keys are identity material and
-    # the encoded artifacts must serialize deterministically to replay
-    # bit-identically.
+    # The compile-side cache: artifact keys are identity material.
     ("repro.compile.keys", ("id",)),
-    ("repro.compile.artifacts", ("serialize",)),
-    ("repro.compile.cache", ("id", "serialize")),
+    ("repro.compile.cache", ("id",)),
     # The fuzzer: case ids/seeds are identity material; reports, the
     # corpus and spec JSON are diffed byte-for-byte across runs.
     ("repro.fuzz.spec", ("id", "serialize")),

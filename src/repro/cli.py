@@ -69,7 +69,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.analyze import (
@@ -294,17 +293,6 @@ def _resolve_cache_dir(args) -> Optional[str]:
     return None
 
 
-def _resolve_compile_cache_dir(args) -> Optional[str]:
-    """--compile-cache-dir enables the on-disk compile artifact store;
-    a result cache directory implies ``<cache-dir>/compile``."""
-    if getattr(args, "compile_cache_dir", ""):
-        return args.compile_cache_dir
-    cache_dir = _resolve_cache_dir(args)
-    if cache_dir is not None:
-        return str(Path(cache_dir) / "compile")
-    return None
-
-
 def cmd_run(args) -> int:
     apps = list(args.apps)
     if args.suite:
@@ -315,17 +303,12 @@ def cmd_run(args) -> int:
         return 2
     config = _config(args)
     cache_dir = _resolve_cache_dir(args)
-    compile_cache_dir = _resolve_compile_cache_dir(args)
     fault_plan = _fault_plan(args)
     fault_aware = not getattr(args, "no_fault_aware", False)
 
     if (len(apps) == 1 and args.workers == 1 and cache_dir is None
             and not args.trace):
         # The classic single-run path, unchanged.
-        if compile_cache_dir is not None:
-            from repro.compile import configure_compile_cache
-
-            configure_compile_cache(compile_cache_dir)
         workload = build_workload(apps[0])
         result = run_workload(
             workload, config, mapping=args.mapping, scale=args.scale,
@@ -360,8 +343,6 @@ def cmd_run(args) -> int:
                 fault_plan=fault_plan,
             )
     common = {}
-    if compile_cache_dir is not None:
-        common["compile_cache_dir"] = compile_cache_dir
     if fault_plan is not None:
         common["faults"] = fault_plan.to_specs()
         common["fault_aware"] = fault_aware
@@ -387,12 +368,6 @@ def cmd_run(args) -> int:
               f"{summary['cache_misses']} miss(es) "
               f"({100 * summary['cache_hit_rate']:.1f}% hit rate) "
               f"-> {cache_dir}")
-    if compile_cache_dir is not None:
-        cc = summary["compile_cache"]
-        print(f"compile cache: {cc['hits']} hit(s), "
-              f"{cc['misses']} miss(es) "
-              f"({100 * cc['hit_rate']:.1f}% hit rate) "
-              f"-> {compile_cache_dir}")
     if summary["retries"] or summary["fallbacks"]:
         print(f"recovered: {summary['retries']} retri(es), "
               f"{summary['fallbacks']} in-process fallback(s)")
@@ -410,28 +385,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from repro.compile import COMPILE_SCHEMA_VERSION
     from repro.exec import ResultCache
 
     cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
-    # The compile-side artifact store lives under the result cache root
-    # (the same place `repro run --cache-dir D` defaults it to).
-    compile_root = cache.root / "compile"
-    compile_store = (
-        ResultCache(compile_root, schema=COMPILE_SCHEMA_VERSION)
-        if compile_root.exists()
-        else None
-    )
     if args.action == "clear":
         removed = cache.clear()
-        if compile_store is not None:
-            removed += compile_store.clear()
         print(f"removed {removed} cached entr(ies) from {cache.root}")
         return 0
     stats = cache.stats()
-    stats["compile"] = (
-        compile_store.stats() if compile_store is not None else None
-    )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)
@@ -440,13 +401,6 @@ def cmd_cache(args) -> int:
     print(f"  entries:     {stats['entries']}")
     print(f"  bytes:       {stats['bytes']:,}")
     print(f"  quarantined: {stats['quarantined']}")
-    if stats["compile"] is not None:
-        compile_stats = stats["compile"]
-        print(f"compile artifacts at {compile_stats['root']} "
-              f"(schema {compile_stats['schema']})")
-        print(f"  entries:     {compile_stats['entries']}")
-        print(f"  bytes:       {compile_stats['bytes']:,}")
-        print(f"  quarantined: {compile_stats['quarantined']}")
     return 0
 
 
@@ -1049,12 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cache-dir", default="",
                            help="memoize completed cells in this "
                                 "content-addressed cache directory")
-            p.add_argument("--compile-cache-dir", default="",
-                           help="persist compile-side artifacts (CME "
-                                "estimates, affinities, proximity tables) "
-                                "in this directory (default: "
-                                "<cache-dir>/compile when --cache-dir is "
-                                "given)")
             p.add_argument("--resume", action="store_true",
                            help="reuse completed cells from the cache "
                                 f"(default dir: {DEFAULT_CACHE_DIR})")

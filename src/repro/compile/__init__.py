@@ -1,22 +1,14 @@
-"""Content-addressed compile-side memoization (see :mod:`.cache`)."""
+"""In-process memoization of compile-side artifacts (see :mod:`.cache`)."""
 
-from .artifacts import (
-    decode_affinities,
-    decode_estimates,
-    decode_tables,
-    encode_affinities,
-    encode_estimates,
-    encode_tables,
-)
 from .cache import (
     DEFAULT_MEMORY_ENTRIES,
     CompileCache,
-    configure_compile_cache,
+    counter_delta,
+    counter_totals,
     get_compile_cache,
     reset_compile_cache,
 )
 from .keys import (
-    COMPILE_SCHEMA_VERSION,
     affinity_material,
     distribution_material,
     estimates_material,
@@ -27,18 +19,12 @@ from .keys import (
 )
 
 __all__ = [
-    "COMPILE_SCHEMA_VERSION",
     "DEFAULT_MEMORY_ENTRIES",
     "CompileCache",
     "affinity_material",
-    "configure_compile_cache",
-    "decode_affinities",
-    "decode_estimates",
-    "decode_tables",
+    "counter_delta",
+    "counter_totals",
     "distribution_material",
-    "encode_affinities",
-    "encode_estimates",
-    "encode_tables",
     "estimates_material",
     "get_compile_cache",
     "instance_digest",

@@ -1,67 +1,89 @@
-"""Content-addressed, cross-run memoization of compile-side artifacts.
+"""In-process memoization of compile-side artifacts.
 
-:class:`CompileCache` layers an in-process LRU over the PR-5 on-disk
-:class:`~repro.exec.cache.ResultCache` (same atomic-write + quarantine
-discipline, its own ``repro.compile/1`` envelope namespace).  It stores
-JSON payloads, never domain objects, and :meth:`get_or_build` pushes even
-freshly built payloads through a JSON round-trip before returning them --
-so the cached and uncached compile paths consume literally identical
-data, which is what makes the cache bit-transparent.
+:class:`CompileCache` is an LRU over content-addressed keys
+(:mod:`repro.compile.keys`) that stores the built domain objects
+themselves and hands the *same* object to every hit.  Payloads are frozen
+at store time -- every numpy array reachable from one is marked
+read-only -- so a consumer that tried to mutate a shared artifact fails
+loudly instead of corrupting later compiles.
 
-Memoized artifact kinds (key material in :mod:`repro.compile.keys`,
-codecs in :mod:`repro.compile.artifacts`):
+Memoized artifact kinds:
 
-* ``estimates`` -- per-nest CME classified accesses;
-* ``affinity``  -- per-nest MAI/CAI/alpha vectors under one view;
-* ``tables``    -- MAC/CAC proximity tables (pristine or degraded).
+* ``affinity`` -- one nest's ``List[SetAffinity]`` (MAI/CAI/alpha) under
+  one architecture view.  The key covers every CME input, so a hit
+  skips the estimator entirely.
+* ``tables``   -- :class:`~repro.core.mapping.ProximityTables` (MAC/CAC,
+  pristine or degraded).
 
 A process-global instance (:func:`get_compile_cache`) is shared by every
-compile in the process; forked sweep workers inherit its warm LRU.  The
-sweep executor points its on-disk store at the cell's
-``compile_cache_dir`` so artifacts persist across runs and processes.
+compile in the process; forked sweep workers inherit its warm LRU.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from collections import OrderedDict
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro.exec.cache import ResultCache
+import numpy as np
 
-from .keys import COMPILE_SCHEMA_VERSION, material_digest
+from .keys import material_digest
 
 DEFAULT_MEMORY_ENTRIES = 256
-"""In-process LRU capacity (payload count, all artifact kinds pooled)."""
+"""LRU capacity (artifact count, all kinds pooled)."""
 
-_OUTCOME_TOTALS = {"hit": "hits", "miss": "misses", "store": "stores"}
+
+def counter_totals(counters: Mapping[str, int]) -> Dict[str, Any]:
+    """hits / misses / hit_rate summed over ``"<kind>.<outcome>"`` counters."""
+    hits = sum(n for name, n in counters.items() if name.endswith(".hit"))
+    misses = sum(n for name, n in counters.items() if name.endswith(".miss"))
+    attempts = hits + misses
+    return {
+        "hits": hits,
+        "misses": misses,
+        "hit_rate": round(hits / attempts, 4) if attempts else 0.0,
+    }
+
+
+def counter_delta(
+    before: Mapping[str, int], after: Mapping[str, int]
+) -> Dict[str, int]:
+    """Counter traffic between two :meth:`CompileCache.counter_snapshot`
+    readings; counters that did not move are dropped."""
+    return {
+        name: after[name] - before.get(name, 0)
+        for name in sorted(after)
+        if after[name] - before.get(name, 0)
+    }
+
+
+def _freeze(value: Any) -> Any:
+    """Mark every numpy array reachable from ``value`` read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _freeze(item)
+    elif dataclasses.is_dataclass(value):
+        for spec in dataclasses.fields(value):
+            _freeze(getattr(value, spec.name))
+    return value
 
 
 class CompileCache:
-    """Two-level (LRU + optional on-disk) compile artifact cache."""
+    """LRU of built compile artifacts, keyed by content digest."""
 
-    def __init__(
-        self,
-        store_dir: "Optional[str | Path]" = None,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-    ):
+    def __init__(self, memory_entries: int = DEFAULT_MEMORY_ENTRIES):
         if memory_entries < 1:
             raise ValueError("memory_entries must be >= 1")
-        self.store: Optional[ResultCache] = (
-            ResultCache(store_dir, schema=COMPILE_SCHEMA_VERSION)
-            if store_dir is not None
-            else None
-        )
         self.memory_entries = memory_entries
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
-        # Flat "<kind>.<outcome>" counters (e.g. "estimates.hit"); the
-        # run manifest and sweep summaries aggregate them via totals().
+        # Flat "<kind>.<outcome>" counters (e.g. "affinity.hit"); the run
+        # manifest and sweep summaries aggregate them via counter_totals().
         self.counters: Dict[str, int] = {}
-
-    # -- lookup ---------------------------------------------------------
-    def key_for(self, kind: str, material: Dict[str, Any]) -> str:
-        return material_digest(kind, material)
 
     def get_or_build(
         self,
@@ -70,46 +92,24 @@ class CompileCache:
         build: Callable[[], Any],
         telemetry: Any = None,
     ) -> Any:
-        """The memoized JSON payload for (kind, material).
+        """The memoized artifact for (kind, material).
 
-        On a miss, ``build()`` runs once and its result is JSON-round-
-        tripped, remembered in the LRU, and (when a store is attached)
-        persisted.  Returned payloads are shared across hits -- callers
-        must treat them as immutable and decode into fresh domain
-        objects.
+        On a miss, ``build()`` runs once and its result is frozen and
+        remembered.  Every hit returns that same object.
         """
-        key = self.key_for(kind, material)
-        cached = self._memory.get(key)
+        key = material_digest(kind, material)
+        memory = self._memory
+        cached = memory.get(key)
         if cached is not None:
-            self._memory.move_to_end(key)
+            memory.move_to_end(key)
             self._count(kind, "hit", telemetry)
             return cached
-        if self.store is not None:
-            entry = self.store.get(key)
-            if entry is not None:
-                payload = entry["data"]
-                self._remember(key, payload)
-                self._count(kind, "hit", telemetry)
-                return payload
-        built = json.loads(json.dumps(build(), sort_keys=True))
+        built = _freeze(build())
         self._count(kind, "miss", telemetry)
-        if self.store is not None:
-            # ResultCache envelopes require a dict payload; "data" wraps
-            # list-shaped artifacts (affinity vectors) uniformly.
-            self.store.put(key, {"data": built})
-            self._count(kind, "store", telemetry)
-        self._remember(key, built)
-        return built
-
-    def _remember(self, key: str, payload: Any) -> None:
-        memory = self._memory
-        if key in memory:
-            memory.move_to_end(key)
-            memory[key] = payload
-            return
-        memory[key] = payload
-        while len(memory) > self.memory_entries:
+        memory[key] = built
+        if len(memory) > self.memory_entries:
             memory.popitem(last=False)
+        return built
 
     def _count(self, kind: str, outcome: str, telemetry: Any = None) -> None:
         name = f"{kind}.{outcome}"
@@ -117,78 +117,37 @@ class CompileCache:
         if telemetry is not None:
             telemetry.count(f"compile_cache.{name}")
 
-    # -- accounting -----------------------------------------------------
     def counter_snapshot(self) -> Dict[str, int]:
-        """Sorted copy of the per-kind counters (delta arithmetic)."""
+        """Sorted copy of the per-kind counters (see :func:`counter_delta`)."""
         return dict(sorted(self.counters.items()))
 
-    def totals(self) -> Dict[str, int]:
-        """hits / misses / stores summed over artifact kinds."""
-        out = {"hits": 0, "misses": 0, "stores": 0}
-        for name, count in self.counters.items():
-            outcome = name.rpartition(".")[2]
-            total_key = _OUTCOME_TOTALS.get(outcome)
-            if total_key is not None:
-                out[total_key] += count
-        return out
-
-    @property
-    def hit_rate(self) -> float:
-        totals = self.totals()
-        attempts = totals["hits"] + totals["misses"]
-        return totals["hits"] / attempts if attempts else 0.0
+    def totals(self) -> Dict[str, Any]:
+        return counter_totals(self.counters)
 
     def stats(self) -> Dict[str, Any]:
-        """Inventory + traffic, the ``repro cache stats`` shape."""
-        out: Dict[str, Any] = {
-            "schema": COMPILE_SCHEMA_VERSION,
+        """Inventory + traffic."""
+        return {
             "memory_entries": len(self._memory),
             "memory_capacity": self.memory_entries,
             "counters": self.counter_snapshot(),
             **self.totals(),
-            "hit_rate": round(self.hit_rate, 4),
         }
-        if self.store is not None:
-            out["store"] = self.store.stats()
-        return out
-
-    # -- maintenance ----------------------------------------------------
-    def clear_memory(self) -> int:
-        """Drop the in-process LRU (disk entries survive)."""
-        dropped = len(self._memory)
-        self._memory.clear()
-        return dropped
 
     def __repr__(self) -> str:
-        root = str(self.store.root) if self.store is not None else None
-        return (
-            f"CompileCache(store={root!r}, "
-            f"memory={len(self._memory)}/{self.memory_entries})"
-        )
+        return f"CompileCache(memory={len(self._memory)}/{self.memory_entries})"
 
 
-# ----------------------------------------------------------------------
 # Process-global instance (shared by every compile in this process;
 # forked sweep workers inherit the warm LRU).
-# ----------------------------------------------------------------------
 _PROCESS_CACHE: Optional[CompileCache] = None
 
 
 def get_compile_cache() -> CompileCache:
-    """The process-wide compile cache (memory-only until configured)."""
+    """The process-wide compile cache."""
     global _PROCESS_CACHE
     if _PROCESS_CACHE is None:
         _PROCESS_CACHE = CompileCache()
     return _PROCESS_CACHE
-
-
-def configure_compile_cache(store_dir: "str | Path") -> CompileCache:
-    """Attach (or retarget) the process cache's on-disk store."""
-    cache = get_compile_cache()
-    root = Path(store_dir)
-    if cache.store is None or Path(cache.store.root) != root:
-        cache.store = ResultCache(root, schema=COMPILE_SCHEMA_VERSION)
-    return cache
 
 
 def reset_compile_cache() -> None:

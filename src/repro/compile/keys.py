@@ -2,21 +2,18 @@
 
 Every memoized artifact is addressed by a sha256 over canonical JSON of a
 *material* dict built here.  The material must cover everything the
-artifact is a function of -- and nothing volatile -- so keys are stable
-across processes, runs, and machines:
+artifact is a function of -- and nothing volatile -- so equal keys mean
+equal artifacts:
 
-* **estimates** -- program instance content hash, nest index, iteration
-  sets, LLC geometry, sampling parameters, accuracy, seed.
-* **affinity** -- the estimates material plus the architecture view
+* **affinity** -- the CME inputs (:func:`estimates_material`: program
+  instance content hash, nest index, iteration sets, LLC geometry,
+  sampling parameters, accuracy, seed) plus the architecture view
   (address layout / data distribution, including fault degradation, and
   the region partition with its MC placement) and the LLC organization.
 * **tables** -- the region partition, MAC mode, CAC self-weight, LLC
   organization, router delay, and the fault plan hash (``None`` for the
   pristine tables, which is how the fault-aware arm's oblivious mapper
   shares entries with plain fault-blind compiles).
-
-The pipeline code version is folded into every key, so artifacts from an
-older pipeline can never be replayed as current ones.
 """
 
 from __future__ import annotations
@@ -29,23 +26,10 @@ import numpy as np
 
 from repro.obs.manifest import _normalize
 
-COMPILE_SCHEMA_VERSION = "repro.compile/1"
-"""Envelope namespace of the compile-side cache.  Bump on any payload
-layout change: it is folded into every key AND stamped on every on-disk
-entry, so old entries become unreadable misses, never misparsed data."""
-
 
 def material_digest(kind: str, material: Dict[str, Any]) -> str:
     """The content-addressed key of one artifact."""
-    from repro.core.pipeline import PIPELINE_VERSION
-
-    envelope = {
-        "schema": COMPILE_SCHEMA_VERSION,
-        "pipeline": PIPELINE_VERSION,
-        "kind": kind,
-        "material": material,
-    }
-    payload = json.dumps(envelope, sort_keys=True)
+    payload = json.dumps({"kind": kind, "material": material}, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -125,7 +109,7 @@ def estimates_material(
     iteration_sets: Sequence[Any],
     estimator: Any,
 ) -> Dict[str, Any]:
-    """Key material of one nest's CME estimates."""
+    """The CME inputs of one nest (part of its ``affinity`` key)."""
     return {
         "instance": instance_hash,
         "nest": nest_index,

@@ -27,6 +27,14 @@ from repro.analyze.invariants import check_set_affinities
 from repro.analyze.parallel import certify_nest
 from repro.cache.snuca import LLCOrganization
 from repro.cme.equations import CacheMissEstimator
+from repro.compile import (
+    CompileCache,
+    affinity_material,
+    estimates_material,
+    get_compile_cache,
+    instance_digest,
+    tables_material,
+)
 from repro.ir.dependence import validate_parallelism
 from repro.ir.iterspace import IterationSet, partition_iteration_sets
 from repro.ir.loops import ProgramInstance
@@ -101,18 +109,16 @@ class LocationAwareCompiler:
         telemetry=None,
         fault_plan=None,
         fault_aware: bool = True,
-        compile_cache=None,
+        compile_cache: Optional[CompileCache] = None,
     ):
         self.config = config
-        # Optional repro.compile.CompileCache: memoizes the expensive
-        # compile-side artifacts (CME estimates, affinity vectors, MAC/CAC
-        # tables) across compiles, runs, and processes.  Cached payloads
-        # are JSON-round-tripped on *every* path, so the cached and
-        # uncached pipelines are bit-identical by construction.  (This
-        # module never imports repro.compile at the top level -- that
-        # package imports repro.exec.cache, which reaches back here.)
-        self.compile_cache = compile_cache
-        self._instance_hash: Optional[str] = None
+        # Memoizes the expensive compile-side artifacts (affinity vectors,
+        # MAC/CAC tables) across compiles; defaults to the process-wide
+        # cache.  Artifacts are pure functions of their keys, so a hit
+        # returns exactly what a rebuild would.
+        self.compile_cache = (
+            compile_cache if compile_cache is not None else get_compile_cache()
+        )
         self.check_parallelism = check_parallelism
         # Fault-aware compilation: with a non-empty repro.faults.FaultPlan
         # and fault_aware=True, affinity analysis sees the degraded data
@@ -171,25 +177,10 @@ class LocationAwareCompiler:
             alpha_weighting=alpha_weighting,
             seed=seed,
         )
-        aware_tables: Optional[ProximityTables] = None
-        pristine_tables: Optional[ProximityTables] = None
-        if self.compile_cache is not None:
-            fault_hash = (
-                self.fault_plan.plan_hash() if degraded is not None else None
-            )
-            aware_tables = self._cached_tables(
-                mac_mode, cac_self_weight, degraded, fault_hash
-            )
-            if degraded is not None:
-                # The oblivious arm keys its tables with fault_plan=None,
-                # sharing the exact entries a fault-blind compile writes.
-                pristine_tables = self._cached_tables(
-                    mac_mode, cac_self_weight, None, None
-                )
         self.mapper = Mapper(
             events=self.telemetry.events if self.telemetry is not None else None,
             faults=degraded,
-            tables=aware_tables,
+            tables=self._tables(mac_mode, cac_self_weight, degraded),
             **mapper_kwargs,
         )
         # Graceful degradation by construction: next to the fault-aware
@@ -208,7 +199,9 @@ class LocationAwareCompiler:
                 distribution=config.build_distribution(),
             )
             self.oblivious_mapper = Mapper(
-                events=None, faults=None, tables=pristine_tables,
+                events=None,
+                faults=None,
+                tables=self._tables(mac_mode, cac_self_weight, None),
                 **mapper_kwargs,
             )
         # CME models the capacity the program actually has available: the
@@ -226,40 +219,35 @@ class LocationAwareCompiler:
         )
 
     # ------------------------------------------------------------------
-    def _cached_tables(
-        self,
-        mac_mode: MacMode,
-        cac_self_weight: float,
-        faults,
-        fault_plan_hash: Optional[str],
+    def _tables(
+        self, mac_mode: MacMode, cac_self_weight: float, faults
     ) -> ProximityTables:
-        """Proximity tables via the compile cache (pristine or degraded)."""
-        from repro.compile import tables_material
-        from repro.compile.artifacts import decode_tables, encode_tables
+        """Proximity tables via the compile cache (pristine or degraded).
 
+        Pristine tables key with ``fault_plan=None``, so the fault-aware
+        compile's oblivious arm shares the entry a fault-blind compile
+        stored.
+        """
         material = tables_material(
             self.partition,
             self.config.llc_organization,
             mac_mode,
             cac_self_weight,
-            fault_plan_hash,
+            self.fault_plan.plan_hash() if faults is not None else None,
             self.config.router_delay,
         )
-        payload = self.compile_cache.get_or_build(
+        return self.compile_cache.get_or_build(
             "tables",
             material,
-            lambda: encode_tables(
-                build_proximity_tables(
-                    self.partition,
-                    self.config.llc_organization,
-                    mac_mode=mac_mode,
-                    cac_self_weight=cac_self_weight,
-                    faults=faults,
-                )
+            lambda: build_proximity_tables(
+                self.partition,
+                self.config.llc_organization,
+                mac_mode=mac_mode,
+                cac_self_weight=cac_self_weight,
+                faults=faults,
             ),
             telemetry=self.telemetry,
         )
-        return decode_tables(payload)
 
     # ------------------------------------------------------------------
     def partition_nest(
@@ -274,10 +262,7 @@ class LocationAwareCompiler:
         """Run the full Figure 4 flow over every parallel nest."""
         if self.analyze_gate:
             self._gate_instance(instance)
-        if self.compile_cache is not None:
-            from repro.compile import instance_digest
-
-            self._instance_hash = instance_digest(instance)
+        instance_hash = instance_digest(instance)
         result = CompiledSchedule(iteration_sets={}, schedules={})
         for nest_index, nest in enumerate(instance.program.nests):
             if self.check_parallelism:
@@ -286,9 +271,13 @@ class LocationAwareCompiler:
             result.iteration_sets[nest_index] = sets
             if self.telemetry is not None:
                 with self.telemetry.phase("analyze"):
-                    affinities = self._analyze_nest(instance, nest_index, sets)
+                    affinities = self._analyze_nest(
+                        instance, instance_hash, nest_index, sets
+                    )
             else:
-                affinities = self._analyze_nest(instance, nest_index, sets)
+                affinities = self._analyze_nest(
+                    instance, instance_hash, nest_index, sets
+                )
             if self.analyze_gate:
                 self._gate_affinities(instance, nest_index, affinities)
             for affinity in affinities:
@@ -380,79 +369,41 @@ class LocationAwareCompiler:
     def _analyze_nest(
         self,
         instance: ProgramInstance,
+        instance_hash: str,
         nest_index: int,
         sets: List[IterationSet],
     ) -> List[SetAffinity]:
-        # One estimator pass per nest, shared by both machine views.  The
-        # estimator is a pure function of (instance, nest, sets, params):
-        # its sampling RNGs are string-seeded per (nest, set), so call
-        # order and call count cannot desynchronize anything -- which is
-        # also what makes its output safely memoizable (repro.compile).
-        if self.compile_cache is not None:
-            return self._analyze_nest_cached(instance, nest_index, sets)
-        estimates = self.estimator.estimate_nest(instance, nest_index, sets)
-        affinities = self._affinities_from(sets, estimates, self.view)
-        if self.oblivious_view is not None:
-            for affinity in self._affinities_from(
-                sets, estimates, self.oblivious_view
-            ):
-                key = (nest_index, affinity.set_id)
-                self._oblivious_affinities[key] = affinity
-        return affinities
+        """MAI/CAI vectors of one nest under the aware (and oblivious) view.
 
-    def _analyze_nest_cached(
-        self,
-        instance: ProgramInstance,
-        nest_index: int,
-        sets: List[IterationSet],
-    ) -> List[SetAffinity]:
-        """The memoized twin of the inline branch above.
-
-        Affinity vectors are cached per (estimates material, view); when
-        every view hits, the CME pass is skipped entirely.  On a miss the
-        estimates are themselves fetched through the cache -- computed at
-        most once per nest and shared by both views, exactly like the
-        inline path.
+        Affinity vectors are memoized per (CME inputs, view); when every
+        view hits, the CME pass is skipped entirely.  Otherwise the
+        estimator runs at most once per nest and its output is shared by
+        both views.  The estimator is a pure function of (instance, nest,
+        sets, params): its sampling RNGs are string-seeded per (nest,
+        set), so call order and call count cannot desynchronize anything.
         """
-        from repro.compile import affinity_material, estimates_material
-        from repro.compile.artifacts import (
-            decode_affinities,
-            decode_estimates,
-            encode_affinities,
-            encode_estimates,
+        cme_material = estimates_material(
+            instance_hash, nest_index, sets, self.estimator
         )
+        estimates = None
 
-        cache = self.compile_cache
-        est_material = estimates_material(
-            self._instance_hash, nest_index, sets, self.estimator
-        )
-        shared: Dict[str, Dict] = {}
-
-        def estimates():
-            if "estimates" not in shared:
-                payload = cache.get_or_build(
-                    "estimates",
-                    est_material,
-                    lambda: encode_estimates(
-                        self.estimator.estimate_nest(instance, nest_index, sets)
-                    ),
-                    telemetry=self.telemetry,
+        def build(view: ArchitectureView) -> List[SetAffinity]:
+            nonlocal estimates
+            if estimates is None:
+                estimates = self.estimator.estimate_nest(
+                    instance, nest_index, sets
                 )
-                shared["estimates"] = decode_estimates(payload)
-            return shared["estimates"]
+            return self._affinities_from(sets, estimates, view)
 
         def affinities_for(view: ArchitectureView) -> List[SetAffinity]:
-            payload = cache.get_or_build(
+            return self.compile_cache.get_or_build(
                 "affinity",
                 affinity_material(
-                    est_material, view, self.config.llc_organization
+                    cme_material, view, self.config.llc_organization
                 ),
-                lambda: encode_affinities(
-                    self._affinities_from(sets, estimates(), view)
-                ),
+                lambda: build(view),
                 telemetry=self.telemetry,
             )
-            return decode_affinities(payload)
 
         affinities = affinities_for(self.view)
         if self.oblivious_view is not None:

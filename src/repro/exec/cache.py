@@ -32,17 +32,9 @@ from .cells import CACHE_SCHEMA_VERSION
 class ResultCache:
     """Content-addressed store of completed cell payloads."""
 
-    def __init__(
-        self,
-        root: "str | os.PathLike[str]",
-        schema: Any = CACHE_SCHEMA_VERSION,
-    ):
+    def __init__(self, root: "str | os.PathLike[str]"):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # Envelope schema stamp: sweep results use the default; other
-        # namespaces (e.g. the compile-side cache, "repro.compile/1")
-        # supply their own so envelopes never cross-validate.
-        self.schema = schema
         # Per-instance traffic counters (this process's view, not global).
         self.hits = 0
         self.misses = 0
@@ -68,9 +60,9 @@ class ResultCache:
             entry = json.loads(path.read_text(encoding="utf-8"))
             if not isinstance(entry, dict):
                 raise ValueError("entry is not an object")
-            if entry.get("schema") != self.schema:
+            if entry.get("schema") != CACHE_SCHEMA_VERSION:
                 raise ValueError(
-                    f"schema {entry.get('schema')!r} != {self.schema}"
+                    f"schema {entry.get('schema')!r} != {CACHE_SCHEMA_VERSION}"
                 )
             if entry.get("key") != key:
                 raise ValueError(f"entry names key {entry.get('key')!r}")
@@ -100,7 +92,7 @@ class ResultCache:
         path = self.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
-            "schema": self.schema,
+            "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             # repro-lint: allow[DET101] reason=creation stamp is envelope metadata, never key material
             "created_unix": round(time.time(), 3),
@@ -142,7 +134,7 @@ class ResultCache:
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries),
             "quarantined": len(quarantined),
-            "schema": self.schema,
+            "schema": CACHE_SCHEMA_VERSION,
             "session": {
                 "hits": self.hits,
                 "misses": self.misses,

@@ -97,13 +97,6 @@ class SweepCell:
     pure observation, and a traced cell must replay an untraced cell's
     cached payload (and vice versa) byte-identically."""
 
-    compile_cache_dir: Optional[str] = None
-    """On-disk store for the compile-side artifact cache
-    (:mod:`repro.compile`).  Like ``trace``, NOT part of the cell's
-    identity, cache key, or derived seed: the compile cache is
-    bit-transparent, so a cached compile must replay an uncached cell's
-    payload (and vice versa) byte-identically."""
-
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "workload_args", _freeze_args(self.workload_args)

@@ -43,6 +43,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.compile import counter_delta, counter_totals, get_compile_cache
 from repro.obs import EventStream, Telemetry
 from repro.obs.tracing import TraceContext, Tracer, derive_trace_id
 
@@ -60,29 +61,6 @@ class SweepError(RuntimeError):
 # ----------------------------------------------------------------------
 # Cell execution (runs in workers, the coordinator, and the serial path)
 # ----------------------------------------------------------------------
-def _cell_compile_cache(cell: SweepCell):
-    """The process compile cache this cell runs against.
-
-    A cell carrying ``compile_cache_dir`` attaches (or retargets) the
-    process-wide cache's on-disk store, so artifacts persist across
-    worker processes and sweeps; otherwise the cell shares whatever the
-    process cache already is (memory-only by default).
-    """
-    from repro.compile import configure_compile_cache, get_compile_cache
-
-    if cell.compile_cache_dir:
-        return configure_compile_cache(cell.compile_cache_dir)
-    return get_compile_cache()
-
-
-def _counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    return {
-        name: after[name] - before.get(name, 0)
-        for name in after
-        if after[name] - before.get(name, 0)
-    }
-
-
 def execute_cell(
     cell: SweepCell, telemetry: Optional[Telemetry] = None
 ) -> Dict[str, Any]:
@@ -97,9 +75,6 @@ def execute_cell(
     never on whether a hub happened to be attached, so traced and
     untraced executions of the same cell stay ``==``.
     """
-    # Configure the process compile cache first: the harness's "auto"
-    # resolution then picks up the cell's on-disk store (if any).
-    _cell_compile_cache(cell)
     seed = cell.effective_seed()
     if cell.kind == "multiprog":
         from repro.experiments.multiprog import run_multiprogrammed
@@ -173,13 +148,13 @@ def execute_cell_enveloped(cell: SweepCell) -> Dict[str, Any]:
     pid, this cell's compile-cache traffic delta) never enters the result
     cache, mirroring the traced wrapper's span/phase sidecar.
     """
-    cache = _cell_compile_cache(cell)
+    cache = get_compile_cache()
     before = cache.counter_snapshot()
     payload = execute_cell(cell)
     return {
         "payload": payload,
         "pid": os.getpid(),
-        "compile_cache": _counter_delta(before, cache.counter_snapshot()),
+        "compile_cache": counter_delta(before, cache.counter_snapshot()),
     }
 
 
@@ -211,14 +186,14 @@ def execute_cell_traced(cell: SweepCell) -> Dict[str, Any]:
         )
     telemetry = Telemetry(events=EventStream(level="decisions"))
     telemetry.attach_tracer(tracer)
-    cache = _cell_compile_cache(cell)
+    cache = get_compile_cache()
     before = cache.counter_snapshot()
     with tracer.span("attempt", cat="executor", cell=cell.label()):
         payload = execute_cell(cell, telemetry=telemetry)
     return {
         "payload": payload,
         "pid": os.getpid(),
-        "compile_cache": _counter_delta(before, cache.counter_snapshot()),
+        "compile_cache": counter_delta(before, cache.counter_snapshot()),
         "spans": tracer.to_dicts(),
         "phases": {
             path: {"seconds": round(rec.seconds, 6), "calls": rec.calls}
@@ -319,22 +294,15 @@ class SweepResult:
 
     def compile_cache_totals(self) -> Dict[str, Any]:
         """Compile-cache traffic summed across unique cell executions."""
-        totals = {"hits": 0, "misses": 0, "stores": 0}
-        outcome_keys = {"hit": "hits", "miss": "misses", "store": "stores"}
+        merged: Dict[str, int] = {}
         seen = set()
         for result in self.results:
             if result.key in seen:
                 continue  # duplicate cells share one execution
             seen.add(result.key)
             for name, count in result.compile_cache.items():
-                key = outcome_keys.get(name.rpartition(".")[2])
-                if key is not None:
-                    totals[key] += count
-        attempts = totals["hits"] + totals["misses"]
-        return {
-            **totals,
-            "hit_rate": round(totals["hits"] / attempts, 4) if attempts else 0.0,
-        }
+                merged[name] = merged.get(name, 0) + count
+        return counter_totals(merged)
 
     def summary(self) -> Dict[str, Any]:
         return {

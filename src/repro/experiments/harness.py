@@ -41,6 +41,12 @@ from repro.baselines.default import default_schedules, partition_all_nests
 from repro.baselines.hardware import hardware_schedules
 from repro.baselines.layout import build_layout_remap
 from repro.cme.equations import CacheMissEstimator
+from repro.compile import (
+    CompileCache,
+    counter_delta,
+    counter_totals,
+    get_compile_cache,
+)
 from repro.core.analysis import mai_error
 from repro.core.inspector import (
     EXECUTE_LABEL,
@@ -174,7 +180,7 @@ def run_workload(
     analyze_gate: bool = False,
     fault_plan=None,
     fault_aware: bool = True,
-    compile_cache="auto",
+    compile_cache: Optional[CompileCache] = None,
 ) -> RunResult:
     """Simulate one workload end to end; returns stats + artifacts.
 
@@ -201,24 +207,16 @@ def run_workload(
     decision events, and a run manifest on ``result.stats.manifest``.  A
     ``None`` or disabled hub costs nothing.
 
-    ``compile_cache`` memoizes the compile-side artifacts (CME estimates,
-    affinity vectors, proximity tables): ``"auto"`` (default) uses the
-    process-wide :func:`repro.compile.get_compile_cache`; a
-    :class:`repro.compile.CompileCache` instance is used directly; ``None``
-    or ``False`` disables memoization.  All three modes produce
-    byte-identical results -- the cache is a pure compile-time speedup.
+    ``compile_cache`` memoizes the compile-side artifacts (affinity
+    vectors, proximity tables); it defaults to the process-wide
+    :func:`repro.compile.get_compile_cache`.  A warm cache produces
+    byte-identical results -- it is a pure compile-time speedup.
     """
     if mapping not in MAPPINGS:
         raise ValueError(f"unknown mapping {mapping!r}; one of {MAPPINGS}")
-    if compile_cache == "auto":
-        from repro.compile import get_compile_cache
-
+    if compile_cache is None:
         compile_cache = get_compile_cache()
-    elif not compile_cache:
-        compile_cache = None
-    cache_counts_before = (
-        compile_cache.counter_snapshot() if compile_cache is not None else None
-    )
+    cache_counts_before = compile_cache.counter_snapshot()
     if fault_plan is not None and fault_plan.is_empty:
         fault_plan = None
     if analyze_gate:
@@ -375,6 +373,11 @@ def run_workload(
             assert not violations, (
                 "telemetry reconciliation failed: " + "; ".join(violations)
             )
+        # This run's share of the (usually process-wide) compile cache's
+        # traffic: the counters seen at run start are subtracted out.
+        cache_counts = counter_delta(
+            cache_counts_before, compile_cache.counter_snapshot()
+        )
         telemetry.manifest = build_manifest(
             config,
             seed=seed,
@@ -386,9 +389,10 @@ def run_workload(
             extra={
                 "trips": modeled_trips,
                 "cme_accuracy": cme_accuracy,
-                "compile_cache": _compile_cache_section(
-                    compile_cache, cache_counts_before
-                ),
+                "compile_cache": {
+                    "counters": cache_counts,
+                    **counter_totals(cache_counts),
+                },
                 # Cross-reference into the span timeline: a traced run's
                 # manifest names the trace its spans belong to.
                 **(
@@ -449,35 +453,6 @@ def run_workloads(
     return run_sweep(cells, workers=workers, cache_dir=cache_dir)
 
 
-def _compile_cache_section(cache, before) -> dict:
-    """The manifest's ``compile_cache`` entry: this run's traffic delta.
-
-    The cache (and its counters) is usually process-wide, so the manifest
-    records only what *this* run contributed -- the counters observed at
-    run start are subtracted out.
-    """
-    if cache is None:
-        return {"enabled": False}
-    after = cache.counter_snapshot()
-    delta = {
-        name: after[name] - before.get(name, 0)
-        for name in after
-        if after[name] - before.get(name, 0)
-    }
-    totals = {"hits": 0, "misses": 0, "stores": 0}
-    for name, count in delta.items():
-        outcome = name.rpartition(".")[2]
-        key = {"hit": "hits", "miss": "misses", "store": "stores"}.get(outcome)
-        if key is not None:
-            totals[key] += count
-    return {
-        "enabled": True,
-        "store": str(cache.store.root) if cache.store is not None else None,
-        "counters": delta,
-        **totals,
-    }
-
-
 def _build_compiler(config, cme_accuracy, set_fraction, seed, compiler_kwargs,
                     telemetry=None, fault_plan=None, fault_aware=True,
                     compile_cache=None):
@@ -507,7 +482,7 @@ def compare(
     telemetry: Optional[Telemetry] = None,
     fault_plan=None,
     fault_aware: bool = True,
-    compile_cache="auto",
+    compile_cache: Optional[CompileCache] = None,
 ) -> Tuple[Comparison, RunResult, RunResult]:
     """Baseline (default mapping) vs an optimized mapping on one config.
 

@@ -12,12 +12,14 @@ import pytest
 
 from repro.cme.equations import CacheMissEstimator
 from repro.compile import (
+    affinity_material,
     estimates_material,
     instance_digest,
     material_digest,
     partition_material,
     tables_material,
 )
+from repro.core.analysis import ArchitectureView
 from repro.core.proximity import MacMode
 from repro.core.regions import RegionPartition
 from repro.ir.iterspace import partition_iteration_sets
@@ -49,10 +51,21 @@ def _partition(config: SystemConfig) -> RegionPartition:
 
 
 def _estimates_key(estimator, instance_hash="abc") -> str:
+    """The ``affinity`` key of one nest: its CME inputs (the estimates
+    material) plus the default architecture view."""
+    config = SystemConfig()
     instance = build_workload("mxm").instantiate(scale=0.1)
     sets = partition_iteration_sets(instance.nest_domain(0).size, 0.0025)
+    view = ArchitectureView(
+        partition=_partition(config), distribution=config.build_distribution()
+    )
     return material_digest(
-        "estimates", estimates_material(instance_hash, 0, sets, estimator)
+        "affinity",
+        affinity_material(
+            estimates_material(instance_hash, 0, sets, estimator),
+            view,
+            config.llc_organization,
+        ),
     )
 
 
@@ -129,7 +142,7 @@ def test_tables_key_sensitive_to_mc_placement():
 
 def test_kind_partitions_the_key_space():
     material = {"x": 1}
-    assert material_digest("estimates", material) != material_digest(
+    assert material_digest("tables", material) != material_digest(
         "affinity", material
     )
 

@@ -1,8 +1,8 @@
-"""Effective (post-fault) topology: routes, distances, service scaling.
+"""Effective (post-fault) topology: routes, distances, hop timing.
 
 ``DegradedTopology`` is the one object the injection hooks and the
 degradation-aware mapper share.  It projects a :class:`~repro.faults.plan.
-FaultPlan` onto a concrete mesh and answers three questions:
+FaultPlan` onto a concrete mesh and provides:
 
 * **Routing** -- :meth:`route` returns the links a packet crosses.  The
   static X-Y route is kept verbatim whenever it is healthy (throttles and
@@ -14,17 +14,19 @@ FaultPlan` onto a concrete mesh and answers three questions:
   reserve links in strictly increasing time order, no cyclic wait (and
   hence no deadlock) can arise; a destination with no healthy path at
   all raises :class:`FaultPlanError` (the FLT002 rule rejects such plans
-  before a machine is ever built).
+  before a machine is ever built).  A faulted network tabulates every
+  route once, when the plan is applied, so a disconnecting plan fails
+  when the machine is built.
 
 * **Effective distance** -- :meth:`distance_units` is the Dijkstra cost
   normalized so it coincides with Manhattan hop count on a pristine
   mesh.  Throttled links and hotspot routers stretch it; the
   degradation-aware MAC/CAC tables are computed from these distances.
 
-* **Service scaling** -- :meth:`link_service_flits` converts a packet's
-  flit count into the cycles a throttled link is occupied, shared by the
-  wormhole and analytic contention models so both engines degrade
-  identically.
+* **Hop timing** -- :attr:`link_throttle` and :attr:`router_extra` are
+  the per-hop data the wormhole and analytic contention models read
+  (:func:`repro.noc.network.throttled_flits` turns a throttle into link
+  occupancy), so both engines degrade identically.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ import heapq
 import math
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.noc.routing import xy_links
+from repro.noc.routing import Link, Route, xy_routes
 from repro.noc.topology import Mesh2D
 
 from .plan import FaultPlan, FaultPlanError
-
-Link = Tuple[int, int]
 
 
 class DegradedTopology:
@@ -70,19 +70,11 @@ class DegradedTopology:
         self.offline_mcs: FrozenSet[int] = plan.offline_mcs()
         self.mc_throttle: Dict[int, float] = plan.mc_throttles()
         self.offline_banks: FrozenSet[int] = plan.offline_banks()
-        self._route_cache: Dict[Tuple[int, int], List[Link]] = {}
         self._cost_cache: Dict[int, List[float]] = {}
 
     # ------------------------------------------------------------------
-    # Link-level timing hooks
+    # Link costs
     # ------------------------------------------------------------------
-    def link_service_flits(self, link: Link, num_flits: int) -> int:
-        """Cycles ``link`` is occupied carrying ``num_flits`` flits."""
-        factor = self.link_throttle.get(link)
-        if factor is None:
-            return num_flits
-        return int(math.ceil(num_flits / factor))
-
     def edge_cost(self, src: int, dst: int) -> float:
         """Traversal cost of one healthy link, in cycles."""
         cost = float(self.router_delay + 1 + self.router_extra.get(src, 0))
@@ -94,24 +86,20 @@ class DegradedTopology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def route(self, src: int, dst: int) -> List[Link]:
+    def route(self, src: int, dst: int) -> Route:
         """Links a packet from ``src`` to ``dst`` crosses.
 
         The X-Y route when healthy; otherwise a deterministic Dijkstra
         detour over the healthy links.  Raises :class:`FaultPlanError`
-        when no healthy path exists.
+        when no healthy path exists.  Not cached: the network tabulates
+        every pair once, when the faults are applied.
         """
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is not None:
-            return cached
-        links = xy_links(self.mesh, src, dst)
+        links = xy_routes(self.mesh)[src][dst]
         if self.down and any(link in self.down for link in links):
             links = self._detour(src, dst)
-        self._route_cache[key] = links
         return links
 
-    def _detour(self, src: int, dst: int) -> List[Link]:
+    def _detour(self, src: int, dst: int) -> Route:
         dist: Dict[int, float] = {src: 0.0}
         parent: Dict[int, int] = {}
         heap: List[Tuple[float, int]] = [(0.0, src)]
@@ -141,7 +129,7 @@ class DegradedTopology:
         while path[-1] != src:
             path.append(parent[path[-1]])
         path.reverse()
-        return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
+        return tuple(zip(path, path[1:]))
 
     # ------------------------------------------------------------------
     # Effective distances

@@ -9,7 +9,7 @@ from .packet import (
     Packet,
     flits_for_payload,
 )
-from .routing import hop_count, path_coords, xy_links, xy_path
+from .routing import xy_routes
 from .topology import (
     Coord,
     MCPlacement,
@@ -28,10 +28,7 @@ __all__ = [
     "MessageKind",
     "Packet",
     "flits_for_payload",
-    "hop_count",
-    "path_coords",
-    "xy_links",
-    "xy_path",
+    "xy_routes",
     "Coord",
     "MCPlacement",
     "MemoryControllerInfo",

@@ -19,11 +19,11 @@ check the analytic model tracks it on random traffic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .network import BaseNetwork
+from .network import BaseNetwork, throttled_flits
 from .packet import Packet
-from .routing import xy_links
+from .routing import Route
 
 _MAX_RHO = 0.95
 
@@ -62,37 +62,25 @@ class AnalyticNetwork(BaseNetwork):
         rho = max(prev_rho, partial)
         return min(rho, _MAX_RHO)
 
-    def _transfer(
-        self,
-        packet: Packet,
-        hops: int,
-        links: Optional[List[Tuple[int, int]]] = None,
-    ) -> Tuple[int, int]:
-        faults = self.faults
-        if links is None:
-            links = xy_links(self.mesh, packet.src, packet.dst)
-        self._record_links(links, packet.num_flits)
-        if faults is None:
-            base = hops * (self.router_delay + 1) + (packet.num_flits - 1)
-            queueing = 0.0
-            for link in links:
-                rho = self._utilization(link, packet.inject_time, packet.num_flits)
-                queueing += rho * packet.num_flits / (2.0 * (1.0 - rho))
-        else:
-            # Hotspot routers lengthen the pipeline term per hop; throttled
-            # links inflate both the utilization sample and the service time
-            # in the M/D/1 numerator, mirroring the wormhole model's longer
-            # link reservation.
-            extra = faults.router_extra
-            base = packet.num_flits - 1
-            queueing = 0.0
-            for link in links:
-                base += self.router_delay + 1 + extra.get(link[0], 0)
-                service = faults.link_service_flits(link, packet.num_flits)
-                rho = self._utilization(link, packet.inject_time, service)
-                queueing += rho * service / (2.0 * (1.0 - rho))
+    def _transfer(self, packet: Packet, links: Route) -> Tuple[int, int]:
+        # Hotspot routers lengthen the pipeline term per hop; throttled
+        # links inflate both the utilization sample and the service time in
+        # the M/D/1 numerator, mirroring the wormhole model's longer link
+        # reservation.
+        flits = packet.num_flits
+        time = packet.inject_time
+        extra = self.router_extra
+        throttle = self.link_throttle
+        base = len(links) * (self.router_delay + 1) + (flits - 1)
+        queueing = 0.0
+        for link in links:
+            base += extra.get(link[0], 0)
+            factor = throttle.get(link)
+            service = flits if factor is None else throttled_flits(flits, factor)
+            rho = self._utilization(link, time, service)
+            queueing += rho * service / (2.0 * (1.0 - rho))
         wait = int(round(queueing))
-        return packet.inject_time + base + wait, wait
+        return time + base + wait, wait
 
     def reset(self) -> None:
         self._link_state.clear()

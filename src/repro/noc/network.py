@@ -17,12 +17,19 @@ staying fast enough to drive 21-application sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import math
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .packet import Packet
-from .routing import xy_links
+from .routing import Link, Route, RouteTable, xy_routes
 from .topology import Mesh2D
+
+
+def throttled_flits(num_flits: int, factor: float) -> int:
+    """Cycles a link throttled to ``factor`` of full speed is occupied
+    carrying ``num_flits`` flits."""
+    return int(math.ceil(num_flits / factor))
 
 
 @dataclass
@@ -68,10 +75,12 @@ class BaseNetwork:
         self.router_delay = router_delay
         self.zero_latency = zero_latency
         self.stats = NetworkStats()
-        # Fault attachment (see apply_faults): a DegradedTopology, or None
-        # for the pristine machine.  The pristine per-packet path pays one
-        # ``is None`` predicate, nothing more.
-        self.faults = None
+        # routes[src][dst] -> links crossed: the X-Y table shared by every
+        # mesh of this shape, until apply_faults swaps in a detour table.
+        self.routes: RouteTable = xy_routes(mesh)
+        # Fault timing the per-hop loops read; empty on a pristine machine.
+        self.router_extra: Dict[int, int] = {}
+        self.link_throttle: Dict[Link, float] = {}
         # Telemetry attachment (see set_telemetry); all None when disabled
         # so the per-packet fast path pays one predicate, nothing more.
         self.telemetry = None
@@ -80,13 +89,19 @@ class BaseNetwork:
         self._hist_hops = None
 
     def apply_faults(self, degraded) -> None:
-        """Attach a :class:`repro.faults.DegradedTopology` (or None).
+        """Route and time packets through a :class:`repro.faults.DegradedTopology`.
 
-        With faults attached, routes come from the degraded topology
-        (X-Y unless detouring around a downed link), hotspot routers add
-        pipeline cycles, and throttled links stretch their occupancy.
+        Tabulates its routes once per (src, dst) pair -- X-Y unless
+        detouring around a downed link, so a disconnecting plan raises
+        :class:`repro.faults.FaultPlanError` here -- and hands the per-hop
+        loops its hotspot cycles and link throttles.
         """
-        self.faults = degraded
+        nodes = range(self.mesh.num_nodes)
+        self.routes = tuple(
+            tuple(degraded.route(src, dst) for dst in nodes) for src in nodes
+        )
+        self.router_extra = degraded.router_extra
+        self.link_throttle = degraded.link_throttle
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.obs.Telemetry` hub (or None to detach).
@@ -105,20 +120,12 @@ class BaseNetwork:
         self._hist_latency = telemetry.histogram("noc.packet_latency")
         self._hist_hops = telemetry.histogram("noc.packet_hops")
 
-    def _record_links(self, links, flits: int) -> None:
-        """Add one packet's flits to every link it crosses (if observed)."""
-        spatial = self._spatial
-        if spatial is not None:
-            link_flits = spatial.link_flits
-            for link in links:
-                link_flits[link] = link_flits.get(link, 0) + flits
-
     def transfer(self, packet: Packet) -> int:
         """Deliver ``packet``; returns the cycle its tail arrives at ``dst``.
 
         Subclasses implement :meth:`_transfer`; this wrapper handles the
         ideal (zero-latency) network used for the Figure 2 upper bound and
-        records statistics.
+        records statistics and per-link telemetry.
         """
         if self.zero_latency or packet.src == packet.dst:
             # Local delivery (or the ideal network of Figure 2): the message
@@ -128,15 +135,14 @@ class BaseNetwork:
                 self._hist_latency.record(0)
                 self._hist_hops.record(0)
             return packet.inject_time
-        faults = self.faults
-        if faults is None:
-            hops = self.mesh.node_distance(packet.src, packet.dst)
-            links = None
-        else:
-            # Detours around downed links may be longer than Manhattan.
-            links = faults.route(packet.src, packet.dst)
-            hops = len(links)
-        arrival, queueing = self._transfer(packet, hops, links)
+        # Detours around downed links may be longer than Manhattan.
+        links = self.routes[packet.src][packet.dst]
+        hops = len(links)
+        if self._spatial is not None:
+            link_flits = self._spatial.link_flits
+            for link in links:
+                link_flits[link] = link_flits.get(link, 0) + packet.num_flits
+        arrival, queueing = self._transfer(packet, links)
         latency = arrival - packet.inject_time
         self.stats.record(
             latency=latency, hops=hops, flits=packet.num_flits, queueing=queueing
@@ -146,20 +152,21 @@ class BaseNetwork:
             self._hist_hops.record(hops)
         return arrival
 
-    def _transfer(
-        self,
-        packet: Packet,
-        hops: int,
-        links: Optional[List[Tuple[int, int]]] = None,
-    ) -> Tuple[int, int]:
+    def _transfer(self, packet: Packet, links: Route) -> Tuple[int, int]:
+        """Time ``packet`` over ``links``: (tail arrival, queueing cycles)."""
         raise NotImplementedError
 
     def uncontended_latency(self, src: int, dst: int, num_flits: int) -> int:
         """Latency of a packet on an otherwise empty network."""
-        hops = self.mesh.node_distance(src, dst)
-        if hops == 0 or self.zero_latency:
+        links = self.routes[src][dst]
+        if not links or self.zero_latency:
             return 0
-        return hops * (self.router_delay + 1) + (num_flits - 1)
+        extra = self.router_extra
+        return (
+            len(links) * (self.router_delay + 1)
+            + sum(extra.get(u, 0) for u, _ in links)
+            + (num_flits - 1)
+        )
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
@@ -170,51 +177,36 @@ class WormholeNetwork(BaseNetwork):
 
     def __init__(self, mesh: Mesh2D, router_delay: int = 3, zero_latency: bool = False):
         super().__init__(mesh, router_delay, zero_latency)
-        self._link_free: Dict[Tuple[int, int], int] = {}
+        self._link_free: Dict[Link, int] = {}
 
-    def _transfer(
-        self,
-        packet: Packet,
-        hops: int,
-        links: Optional[List[Tuple[int, int]]] = None,
-    ) -> Tuple[int, int]:
-        faults = self.faults
-        if links is None:
-            links = xy_links(self.mesh, packet.src, packet.dst)
-        self._record_links(links, packet.num_flits)
+    def _transfer(self, packet: Packet, links: Route) -> Tuple[int, int]:
+        flits = packet.num_flits
+        delay = self.router_delay
+        extra = self.router_extra
+        throttle = self.link_throttle
+        link_free = self._link_free
         head = packet.inject_time
         queueing = 0
-        if faults is None:
-            for link in links:
-                # Router pipeline at the upstream node, then wait for the link.
-                ready = head + self.router_delay
-                free_at = self._link_free.get(link, 0)
-                if free_at > ready:
-                    queueing += free_at - ready
-                    ready = free_at
-                # Head flit crosses in one cycle; the link then carries the
-                # rest of the worm, one flit per cycle.
-                head = ready + 1
-                self._link_free[link] = ready + packet.num_flits
-        else:
-            extra = faults.router_extra
-            for link in links:
-                # Hotspot routers add pipeline cycles at the upstream node;
-                # throttled links carry the worm below one flit per cycle,
-                # so they stay reserved proportionally longer.
-                ready = head + self.router_delay + extra.get(link[0], 0)
-                free_at = self._link_free.get(link, 0)
-                if free_at > ready:
-                    queueing += free_at - ready
-                    ready = free_at
-                head = ready + 1
-                self._link_free[link] = ready + faults.link_service_flits(
-                    link, packet.num_flits
-                )
+        for link in links:
+            # Router pipeline (plus any hotspot cycles) at the upstream
+            # node, then wait for the link.
+            ready = head + delay + extra.get(link[0], 0)
+            free_at = link_free.get(link, 0)
+            if free_at > ready:
+                queueing += free_at - ready
+                ready = free_at
+            # Head flit crosses in one cycle; the link then carries the
+            # rest of the worm, one flit per cycle -- a throttled link
+            # fewer, so it stays reserved proportionally longer.
+            head = ready + 1
+            factor = throttle.get(link)
+            link_free[link] = ready + (
+                flits if factor is None else throttled_flits(flits, factor)
+            )
         # Tail arrives (num_flits - 1) cycles after the head.
-        return head + packet.num_flits - 1, queueing
+        return head + flits - 1, queueing
 
-    def link_busy_until(self, link: Tuple[int, int]) -> int:
+    def link_busy_until(self, link: Link) -> int:
         return self._link_free.get(link, 0)
 
     def reset(self) -> None:

@@ -9,7 +9,9 @@ from repro.faults import (
     FaultPlan,
     FaultPlanError,
 )
-from repro.noc.routing import xy_links
+from repro.noc.network import WormholeNetwork
+from repro.noc.packet import MessageKind, Packet
+from repro.noc.routing import xy_routes
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.machine import Manycore
 
@@ -20,7 +22,7 @@ class TestDegradedTopology:
     def test_pristine_plan_keeps_xy_routes(self):
         topo = DegradedTopology(MESH, FaultPlan.parse(["bank:0:offline"]))
         for src, dst in ((0, 35), (7, 12), (30, 5)):
-            assert topo.route(src, dst) == xy_links(MESH, src, dst)
+            assert topo.route(src, dst) is xy_routes(MESH)[src][dst]
             assert topo.distance_units(src, dst) == MESH.node_distance(src, dst)
 
     def test_detour_avoids_down_link_and_arrives(self):
@@ -50,12 +52,22 @@ class TestDegradedTopology:
         assert topo.unreachable_pairs()
         with pytest.raises(FaultPlanError):
             topo.route(MESH.node_id((0, 0)), MESH.node_id((3, 0)))
+        # The network tabulates every route up front, so the machine
+        # refuses the plan when it is built.
+        with pytest.raises(FaultPlanError):
+            Manycore(DEFAULT_CONFIG, faults=plan)
 
     def test_throttled_link_costs_more(self):
         plan = FaultPlan.parse(["link:0,0->1,0:throttle=0.5"])
         topo = DegradedTopology(MESH, plan)
-        assert topo.link_service_flits((0, 1), 5) == 10
-        assert topo.link_service_flits((1, 2), 5) == 5
+        assert topo.edge_cost(0, 1) == 2 * topo.edge_cost(1, 2)
+        # A 5-flit worm holds the half-speed link for 10 cycles from when
+        # its head is ready (cycle 3), the healthy next link for 5 (cycle 7).
+        net = WormholeNetwork(MESH, router_delay=3)
+        net.apply_faults(topo)
+        net.transfer(Packet(0, 2, MessageKind.DATA_RESPONSE, 5, 0))
+        assert net.link_busy_until((0, 1)) == 3 + 10
+        assert net.link_busy_until((1, 2)) == 7 + 5
 
     def test_offline_mc_unreachable_others_throttle(self):
         plan = FaultPlan.parse(["mc:0:offline", "mc:1:throttle=0.5"])
@@ -110,14 +122,21 @@ class TestMachineWiring:
         assert machine.degraded is not None
         assert machine.mcs[1].throttle == 0.5
         assert machine.mcs[0].throttle == 1.0
-        assert machine.network.faults is machine.degraded
+        network = machine.network
+        assert network.router_extra is machine.degraded.router_extra
+        assert network.link_throttle is machine.degraded.link_throttle
+        for src in machine.mesh.nodes():
+            for dst in machine.mesh.nodes():
+                assert network.routes[src][dst] == machine.degraded.route(src, dst)
         assert machine.distribution.bank_of(12 * DEFAULT_CONFIG.page_bytes) != 12
 
     def test_empty_plan_is_pristine(self):
         machine = Manycore(DEFAULT_CONFIG, faults=FaultPlan.empty())
         assert machine.fault_plan is None
         assert machine.degraded is None
-        assert machine.network.faults is None
+        assert machine.network.routes is xy_routes(machine.mesh)
+        assert machine.network.router_extra == {}
+        assert machine.network.link_throttle == {}
 
     def test_mc_throttle_slows_controller(self):
         pristine = Manycore(DEFAULT_CONFIG)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import DegradedTopology, FaultPlan
 from repro.noc.analytic import AnalyticNetwork
 from repro.noc.network import WormholeNetwork
 from repro.noc.packet import (
@@ -133,6 +134,35 @@ class TestAnalytic:
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             AnalyticNetwork(MESH, window=0)
+
+
+class TestFaultedUncontended:
+    """A lone packet on a faulted mesh pays the detour and the hotspot."""
+
+    PLAN = ["link:2,2->3,2:down", "router:2,3:hotspot=+8cyc"]
+
+    @pytest.mark.parametrize("model", [WormholeNetwork, AnalyticNetwork])
+    def test_transfer_matches_uncontended_latency(self, model):
+        net = model(MESH, router_delay=3)
+        net.apply_faults(DegradedTopology(MESH, FaultPlan.parse(self.PLAN)))
+        for src in MESH.nodes():
+            for dst in MESH.nodes():
+                for flits in (1, 5):
+                    net.reset()
+                    pkt = Packet(src, dst, MessageKind.CONTROL, flits, 100)
+                    expected = net.uncontended_latency(src, dst, flits)
+                    assert net.transfer(pkt) - 100 == expected
+
+    def test_detour_and_hotspot_lengthen_uncontended_latency(self):
+        net = WormholeNetwork(MESH, router_delay=3)
+        pristine = WormholeNetwork(MESH, router_delay=3)
+        net.apply_faults(DegradedTopology(MESH, FaultPlan.parse(self.PLAN)))
+        detour = (MESH.node_id((2, 2)), MESH.node_id((3, 2)))
+        hotspot = (MESH.node_id((2, 3)), MESH.node_id((2, 4)))
+        for src, dst in (detour, hotspot):
+            assert net.uncontended_latency(src, dst, 1) > (
+                pristine.uncontended_latency(src, dst, 1)
+            )
 
 
 class TestStats:

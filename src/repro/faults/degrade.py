@@ -4,10 +4,10 @@
 degradation-aware mapper share.  It projects a :class:`~repro.faults.plan.
 FaultPlan` onto a concrete mesh and provides:
 
-* **Routing** -- :meth:`route` returns the links a packet crosses.  The
-  static X-Y route is kept verbatim whenever it is healthy (throttles and
-  hotspots change timing, not paths, exactly like real dimension-order
-  routers).  A route broken by a downed link falls back to a
+* **Routing** -- :meth:`route` returns the ``(u, v)`` links a packet
+  crosses.  The static X-Y route is kept verbatim whenever it is healthy
+  (throttles and hotspots change timing, not paths, exactly like real
+  dimension-order routers).  A route broken by a downed link falls back to a
   deterministic shortest-path detour over the healthy links
   (cost-weighted Dijkstra with node-id tie-breaks).  Detours are simple
   paths -- cycle-free by construction -- and because the timing models
@@ -15,8 +15,8 @@ FaultPlan` onto a concrete mesh and provides:
   hence no deadlock) can arise; a destination with no healthy path at
   all raises :class:`FaultPlanError` (the FLT002 rule rejects such plans
   before a machine is ever built).  A faulted network tabulates every
-  route once, when the plan is applied, so a disconnecting plan fails
-  when the machine is built.
+  route once, as link ids, when the plan is applied, so a disconnecting
+  plan fails when the machine is built.
 
 * **Effective distance** -- :meth:`distance_units` is the Dijkstra cost
   normalized so it coincides with Manhattan hop count on a pristine
@@ -24,8 +24,9 @@ FaultPlan` onto a concrete mesh and provides:
   degradation-aware MAC/CAC tables are computed from these distances.
 
 * **Hop timing** -- :attr:`link_throttle` and :attr:`router_extra` are
-  the per-hop data the wormhole and analytic contention models read
-  (:func:`repro.noc.network.throttled_flits` turns a throttle into link
+  the per-hop data the wormhole and analytic contention models read (the
+  network copies the throttles into a list indexed by link id, and
+  :func:`repro.noc.network.throttled_flits` turns a throttle into link
   occupancy), so both engines degrade identically.
 """
 
@@ -35,7 +36,7 @@ import heapq
 import math
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.noc.routing import Link, Route, xy_routes
+from repro.noc.routing import Link, xy_route
 from repro.noc.topology import Mesh2D
 
 from .plan import FaultPlan, FaultPlanError
@@ -86,7 +87,7 @@ class DegradedTopology:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def route(self, src: int, dst: int) -> Route:
+    def route(self, src: int, dst: int) -> Tuple[Link, ...]:
         """Links a packet from ``src`` to ``dst`` crosses.
 
         The X-Y route when healthy; otherwise a deterministic Dijkstra
@@ -94,12 +95,12 @@ class DegradedTopology:
         when no healthy path exists.  Not cached: the network tabulates
         every pair once, when the faults are applied.
         """
-        links = xy_routes(self.mesh)[src][dst]
+        links = xy_route(self.mesh, src, dst)
         if self.down and any(link in self.down for link in links):
             links = self._detour(src, dst)
         return links
 
-    def _detour(self, src: int, dst: int) -> Route:
+    def _detour(self, src: int, dst: int) -> Tuple[Link, ...]:
         dist: Dict[int, float] = {src: 0.0}
         parent: Dict[int, int] = {}
         heap: List[Tuple[float, int]] = [(0.0, src)]

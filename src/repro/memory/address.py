@@ -11,6 +11,7 @@ memory and compiler layers all agree on where data lives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def is_power_of_two(value: int) -> bool:
@@ -44,11 +45,15 @@ class AddressLayout:
             raise ValueError("a page must hold at least one cache line")
 
     # -- derived widths -------------------------------------------------
-    @property
+    # Computed once per layout: they are read on every simulated access.
+    # cached_property stores into the instance dict, which the frozen
+    # dataclass allows, and the cached widths are not fields, so equality
+    # and hashing still compare line_bytes and page_bytes only.
+    @cached_property
     def line_offset_bits(self) -> int:
         return log2_int(self.line_bytes)
 
-    @property
+    @cached_property
     def page_offset_bits(self) -> int:
         return log2_int(self.page_bytes)
 

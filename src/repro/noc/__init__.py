@@ -9,7 +9,7 @@ from .packet import (
     Packet,
     flits_for_payload,
 )
-from .routing import xy_routes
+from .routing import link_ends, link_id, xy_routes
 from .topology import (
     Coord,
     MCPlacement,
@@ -28,6 +28,8 @@ __all__ = [
     "MessageKind",
     "Packet",
     "flits_for_payload",
+    "link_ends",
+    "link_id",
     "xy_routes",
     "Coord",
     "MCPlacement",

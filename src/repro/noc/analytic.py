@@ -13,13 +13,19 @@ link carried flits and ``service`` is the packet's flit count.  Utilization
 is tracked in fixed windows so phase changes (e.g. the barrier-separated
 loop nests of our workloads) are reflected quickly.
 
+Per-link window state lives in three flat lists indexed by link id (see
+:mod:`repro.noc.routing`): the link's current window index, the flits it
+has carried in that window, and the utilization of the window before.  The
+pipeline term is read from the network's per-route cycle table, so the
+per-hop loop only updates window state and sums the queueing delay.
+
 The wormhole model in :mod:`repro.noc.network` is the reference; unit tests
 check the analytic model tracks it on random traffic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 from .network import BaseNetwork, throttled_flits
 from .packet import Packet
@@ -42,46 +48,66 @@ class AnalyticNetwork(BaseNetwork):
         if window < 1:
             raise ValueError("window must be positive")
         self.window = window
-        # Per link: (window index, flits accumulated in that window,
-        #            utilization of the previous window).
-        self._link_state: Dict[Tuple[int, int], Tuple[int, int, float]] = {}
+        self._clear_windows()
 
-    def _utilization(self, link: Tuple[int, int], time: int, flits: int) -> float:
-        """Record ``flits`` on ``link`` at ``time``; return recent utilization."""
-        widx = time // self.window
-        cur_idx, cur_flits, prev_rho = self._link_state.get(link, (widx, 0, 0.0))
-        if widx > cur_idx:
-            # Close the finished window; windows with no traffic in between
-            # mean the previous utilization has decayed to zero.
-            prev_rho = cur_flits / self.window if widx == cur_idx + 1 else 0.0
-            cur_idx, cur_flits = widx, 0
-        cur_flits += flits
-        self._link_state[link] = (cur_idx, cur_flits, prev_rho)
-        # Blend the closed window with the partially filled current one.
-        partial = min(1.0, cur_flits / self.window)
-        rho = max(prev_rho, partial)
-        return min(rho, _MAX_RHO)
+    def _clear_windows(self) -> None:
+        """Forget every link's traffic."""
+        links = 4 * self.mesh.num_nodes
+        # Per link id: the window it is accumulating (-1: none yet; inject
+        # times are non-negative, so the first packet closes it as an empty
+        # window), the flits carried in it, and the utilization of the
+        # window before.
+        self._window_index: List[int] = [-1] * links
+        self._window_flits: List[int] = [0] * links
+        self._prev_rho: List[float] = [0.0] * links
 
     def _transfer(self, packet: Packet, links: Route) -> Tuple[int, int]:
-        # Hotspot routers lengthen the pipeline term per hop; throttled
-        # links inflate both the utilization sample and the service time in
-        # the M/D/1 numerator, mirroring the wormhole model's longer link
-        # reservation.
+        # Throttled links inflate both the utilization sample and the
+        # service time in the M/D/1 numerator, mirroring the wormhole
+        # model's longer link reservation; hotspot routers are in the
+        # route's pipeline cycles.
         flits = packet.num_flits
         time = packet.inject_time
-        extra = self.router_extra
+        window = self.window
         throttle = self.link_throttle
-        base = len(links) * (self.router_delay + 1) + (flits - 1)
+        window_index = self._window_index
+        window_flits = self._window_flits
+        prev_rho = self._prev_rho
+        max_rho = _MAX_RHO
+        widx = time // window
         queueing = 0.0
         for link in links:
-            base += extra.get(link[0], 0)
-            factor = throttle.get(link)
+            factor = throttle[link]
             service = flits if factor is None else throttled_flits(flits, factor)
-            rho = self._utilization(link, time, service)
+            cur_idx = window_index[link]
+            if widx > cur_idx:
+                # Close the finished window; windows with no traffic in
+                # between mean the previous utilization has decayed to zero.
+                prev = window_flits[link] / window if widx == cur_idx + 1 else 0.0
+                prev_rho[link] = prev
+                window_index[link] = widx
+                cur_flits = service
+            else:
+                # The link's current window -- also when this packet was
+                # injected in an earlier one.
+                prev = prev_rho[link]
+                cur_flits = window_flits[link] + service
+            window_flits[link] = cur_flits
+            # Blend the closed window with the partially filled current one,
+            # capped: min(max(prev, min(1, partial)), max_rho) -- the cap
+            # below 1 makes the inner min a no-op, so it is left out.
+            rho = cur_flits / window
+            if prev >= rho:
+                rho = prev
+            if rho > max_rho:
+                rho = max_rho
             queueing += rho * service / (2.0 * (1.0 - rho))
         wait = int(round(queueing))
-        return time + base + wait, wait
+        return (
+            time + self.route_cycles[packet.src][packet.dst] + (flits - 1) + wait,
+            wait,
+        )
 
     def reset(self) -> None:
-        self._link_state.clear()
+        self._clear_windows()
         self.reset_stats()

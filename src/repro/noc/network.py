@@ -19,10 +19,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .packet import Packet
-from .routing import Link, Route, RouteTable, xy_routes
+from .routing import (
+    CycleTable,
+    Link,
+    Route,
+    RouteTable,
+    link_endpoints,
+    link_id,
+    pipeline_cycles,
+    xy_routes,
+)
 from .topology import Mesh2D
 
 
@@ -34,7 +43,8 @@ def throttled_flits(num_flits: int, factor: float) -> int:
 
 @dataclass
 class NetworkStats:
-    """Aggregate statistics of one network instance."""
+    """Aggregate statistics of one network instance (accumulated by
+    :meth:`BaseNetwork.transfer`)."""
 
     packets: int = 0
     flits: int = 0
@@ -56,16 +66,6 @@ class NetworkStats:
     def avg_queueing(self) -> float:
         return self.total_queueing / self.packets if self.packets else 0.0
 
-    def record(self, latency: int, hops: int, flits: int, queueing: int) -> None:
-        self.packets += 1
-        self.flits += flits
-        self.flit_hops += flits * hops
-        self.total_latency += latency
-        self.total_hops += hops
-        self.total_queueing += queueing
-        if latency > self.max_latency:
-            self.max_latency = latency
-
 
 class BaseNetwork:
     """Common interface of the wormhole and analytic network models."""
@@ -75,12 +75,18 @@ class BaseNetwork:
         self.router_delay = router_delay
         self.zero_latency = zero_latency
         self.stats = NetworkStats()
-        # routes[src][dst] -> links crossed: the X-Y table shared by every
+        # routes[src][dst] -> link ids crossed: the X-Y table shared by every
         # mesh of this shape, until apply_faults swaps in a detour table.
         self.routes: RouteTable = xy_routes(mesh)
-        # Fault timing the per-hop loops read; empty on a pristine machine.
+        # Fault timing, empty on a pristine machine: hotspot cycles per
+        # router, and the throttle factor of each link id (None = full
+        # speed).
         self.router_extra: Dict[int, int] = {}
-        self.link_throttle: Dict[Link, float] = {}
+        self.link_throttle: List[Optional[float]] = [None] * (4 * mesh.num_nodes)
+        # cycles[src][dst]: each route's uncontended router pipeline.
+        self.route_cycles: CycleTable = pipeline_cycles(
+            self.routes, router_delay, self.router_extra
+        )
         # Telemetry attachment (see set_telemetry); all None when disabled
         # so the per-packet fast path pays one predicate, nothing more.
         self.telemetry = None
@@ -94,14 +100,25 @@ class BaseNetwork:
         Tabulates its routes once per (src, dst) pair -- X-Y unless
         detouring around a downed link, so a disconnecting plan raises
         :class:`repro.faults.FaultPlanError` here -- and hands the per-hop
-        loops its hotspot cycles and link throttles.
+        loops its hotspot cycles and link throttles.  Detours cross only
+        mesh-neighbour links, so every one has a link id.
         """
-        nodes = range(self.mesh.num_nodes)
+        mesh = self.mesh
+        nodes = range(mesh.num_nodes)
         self.routes = tuple(
-            tuple(degraded.route(src, dst) for dst in nodes) for src in nodes
+            tuple(
+                tuple(link_id(mesh, u, v) for u, v in degraded.route(src, dst))
+                for dst in nodes
+            )
+            for src in nodes
         )
         self.router_extra = degraded.router_extra
-        self.link_throttle = degraded.link_throttle
+        self.link_throttle = [None] * (4 * mesh.num_nodes)
+        for (u, v), factor in degraded.link_throttle.items():
+            self.link_throttle[link_id(mesh, u, v)] = factor
+        self.route_cycles = pipeline_cycles(
+            self.routes, self.router_delay, self.router_extra
+        )
 
     def set_telemetry(self, telemetry) -> None:
         """Attach a :class:`repro.obs.Telemetry` hub (or None to detach).
@@ -127,10 +144,13 @@ class BaseNetwork:
         ideal (zero-latency) network used for the Figure 2 upper bound and
         records statistics and per-link telemetry.
         """
+        flits = packet.num_flits
+        stats = self.stats
+        stats.packets += 1
+        stats.flits += flits
         if self.zero_latency or packet.src == packet.dst:
             # Local delivery (or the ideal network of Figure 2): the message
             # does not enter the mesh.
-            self.stats.record(latency=0, hops=0, flits=packet.num_flits, queueing=0)
             if self._hist_latency is not None:
                 self._hist_latency.record(0)
                 self._hist_hops.record(0)
@@ -140,33 +160,33 @@ class BaseNetwork:
         hops = len(links)
         if self._spatial is not None:
             link_flits = self._spatial.link_flits
+            ends = link_endpoints(self.mesh)
             for link in links:
-                link_flits[link] = link_flits.get(link, 0) + packet.num_flits
+                pair = ends[link]
+                link_flits[pair] = link_flits.get(pair, 0) + flits
         arrival, queueing = self._transfer(packet, links)
         latency = arrival - packet.inject_time
-        self.stats.record(
-            latency=latency, hops=hops, flits=packet.num_flits, queueing=queueing
-        )
+        stats.flit_hops += flits * hops
+        stats.total_latency += latency
+        stats.total_hops += hops
+        stats.total_queueing += queueing
+        if latency > stats.max_latency:
+            stats.max_latency = latency
         if self._hist_latency is not None:
             self._hist_latency.record(latency)
             self._hist_hops.record(hops)
         return arrival
 
     def _transfer(self, packet: Packet, links: Route) -> Tuple[int, int]:
-        """Time ``packet`` over ``links``: (tail arrival, queueing cycles)."""
+        """Time ``packet`` over link ids ``links``: (tail arrival, queueing
+        cycles)."""
         raise NotImplementedError
 
     def uncontended_latency(self, src: int, dst: int, num_flits: int) -> int:
         """Latency of a packet on an otherwise empty network."""
-        links = self.routes[src][dst]
-        if not links or self.zero_latency:
+        if self.zero_latency or src == dst:
             return 0
-        extra = self.router_extra
-        return (
-            len(links) * (self.router_delay + 1)
-            + sum(extra.get(u, 0) for u, _ in links)
-            + (num_flits - 1)
-        )
+        return self.route_cycles[src][dst] + (num_flits - 1)
 
     def reset_stats(self) -> None:
         self.stats = NetworkStats()
@@ -177,7 +197,8 @@ class WormholeNetwork(BaseNetwork):
 
     def __init__(self, mesh: Mesh2D, router_delay: int = 3, zero_latency: bool = False):
         super().__init__(mesh, router_delay, zero_latency)
-        self._link_free: Dict[Link, int] = {}
+        # Cycle each link id is reserved until.
+        self._link_free: List[int] = [0] * (4 * mesh.num_nodes)
 
     def _transfer(self, packet: Packet, links: Route) -> Tuple[int, int]:
         flits = packet.num_flits
@@ -189,9 +210,9 @@ class WormholeNetwork(BaseNetwork):
         queueing = 0
         for link in links:
             # Router pipeline (plus any hotspot cycles) at the upstream
-            # node, then wait for the link.
-            ready = head + delay + extra.get(link[0], 0)
-            free_at = link_free.get(link, 0)
+            # node, link // 4, then wait for the link.
+            ready = head + delay + extra.get(link // 4, 0)
+            free_at = link_free[link]
             if free_at > ready:
                 queueing += free_at - ready
                 ready = free_at
@@ -199,7 +220,7 @@ class WormholeNetwork(BaseNetwork):
             # rest of the worm, one flit per cycle -- a throttled link
             # fewer, so it stays reserved proportionally longer.
             head = ready + 1
-            factor = throttle.get(link)
+            factor = throttle[link]
             link_free[link] = ready + (
                 flits if factor is None else throttled_flits(flits, factor)
             )
@@ -207,8 +228,9 @@ class WormholeNetwork(BaseNetwork):
         return head + flits - 1, queueing
 
     def link_busy_until(self, link: Link) -> int:
-        return self._link_free.get(link, 0)
+        """Cycle the ``(u, v)`` link is reserved until."""
+        return self._link_free[link_id(self.mesh, *link)]
 
     def reset(self) -> None:
-        self._link_free.clear()
+        self._link_free = [0] * len(self._link_free)
         self.reset_stats()

@@ -119,34 +119,32 @@ def geomean(values: List[float]) -> float:
     All-positive inputs (every result the paper reports) use the plain
     geometric mean.  A non-positive entry -- a regression -- makes that
     undefined, and silently flooring it would report a -12% regression as
-    ~0% improvement; instead the aggregate moves to ratio space, the
-    sign-aware multiplicative mean ``100 * (prod(1 + v/100))**(1/n) - 100``,
-    which keeps the sign of the net effect (a lone ``[-12.0]`` aggregates
-    to exactly -12.0).  A value at or below -100% (a more-than-doubled
-    metric) has no ratio-space image, so the result is NaN; both fallbacks
-    emit a ``RuntimeWarning`` so regressions cannot pass unnoticed.
+    ~0% improvement; instead the aggregate moves to ratio space.  A
+    reduction ``v`` is the ratio ``1 - v/100`` of the new metric to the
+    old, so the sign-aware aggregate is ``100 * (1 - prod(1 - v/100)**(1/n))``:
+    positive exactly when the metrics shrank overall (a lone ``[-12.0]``
+    aggregates to exactly -12.0).  This fallback emits a ``RuntimeWarning``
+    so regressions cannot pass unnoticed.  A reduction of 100% or more (a
+    metric cut to zero or below) has no ratio and raises ``ValueError``.
     """
     if not values:
         return 0.0
     if min(values) > 0.0:
         logs = [math.log(v) for v in values]
         return math.exp(sum(logs) / len(logs))
-    if min(values) <= -100.0:
-        warnings.warn(
-            "geomean: value <= -100% has no multiplicative aggregate; "
-            "returning NaN",
-            RuntimeWarning,
-            stacklevel=2,
+    if max(values) >= 100.0:
+        raise ValueError(
+            "geomean: a reduction of 100% or more has no ratio-space "
+            f"aggregate: {max(values)}"
         )
-        return float("nan")
     warnings.warn(
         "geomean over non-positive reductions: aggregating sign-aware in "
         "ratio space instead of flooring regressions to ~0",
         RuntimeWarning,
         stacklevel=2,
     )
-    logs = [math.log1p(v / 100.0) for v in values]
-    return 100.0 * math.expm1(sum(logs) / len(logs))
+    logs = [math.log1p(-v / 100.0) for v in values]
+    return -100.0 * math.expm1(sum(logs) / len(logs))
 
 
 def mean(values: List[float]) -> float:

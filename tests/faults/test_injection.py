@@ -11,7 +11,7 @@ from repro.faults import (
 )
 from repro.noc.network import WormholeNetwork
 from repro.noc.packet import MessageKind, Packet
-from repro.noc.routing import xy_routes
+from repro.noc.routing import link_id, xy_route, xy_routes
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.machine import Manycore
 
@@ -22,7 +22,7 @@ class TestDegradedTopology:
     def test_pristine_plan_keeps_xy_routes(self):
         topo = DegradedTopology(MESH, FaultPlan.parse(["bank:0:offline"]))
         for src, dst in ((0, 35), (7, 12), (30, 5)):
-            assert topo.route(src, dst) is xy_routes(MESH)[src][dst]
+            assert topo.route(src, dst) == xy_route(MESH, src, dst)
             assert topo.distance_units(src, dst) == MESH.node_distance(src, dst)
 
     def test_detour_avoids_down_link_and_arrives(self):
@@ -115,7 +115,8 @@ class TestDegradedDistribution:
 class TestMachineWiring:
     def test_machine_applies_throttles_and_remaps(self):
         plan = FaultPlan.parse(
-            ["mc:1:throttle=0.5", "bank:12:offline", "link:3,4->4,4:down"]
+            ["mc:1:throttle=0.5", "bank:12:offline", "link:3,4->4,4:down",
+             "link:1,1->2,1:throttle=0.5"]
         )
         machine = Manycore(DEFAULT_CONFIG, faults=plan)
         assert machine.fault_plan is plan
@@ -123,11 +124,23 @@ class TestMachineWiring:
         assert machine.mcs[1].throttle == 0.5
         assert machine.mcs[0].throttle == 1.0
         network = machine.network
+        mesh = machine.mesh
         assert network.router_extra is machine.degraded.router_extra
-        assert network.link_throttle is machine.degraded.link_throttle
-        for src in machine.mesh.nodes():
-            for dst in machine.mesh.nodes():
-                assert network.routes[src][dst] == machine.degraded.route(src, dst)
+        throttled = {
+            link_id(mesh, u, v): factor
+            for (u, v), factor in machine.degraded.link_throttle.items()
+        }
+        assert {
+            link: factor
+            for link, factor in enumerate(network.link_throttle)
+            if factor is not None
+        } == throttled == {link_id(mesh, 7, 8): 0.5}
+        for src in mesh.nodes():
+            for dst in mesh.nodes():
+                assert network.routes[src][dst] == tuple(
+                    link_id(mesh, u, v)
+                    for u, v in machine.degraded.route(src, dst)
+                )
         assert machine.distribution.bank_of(12 * DEFAULT_CONFIG.page_bytes) != 12
 
     def test_empty_plan_is_pristine(self):
@@ -136,7 +149,7 @@ class TestMachineWiring:
         assert machine.degraded is None
         assert machine.network.routes is xy_routes(machine.mesh)
         assert machine.network.router_extra == {}
-        assert machine.network.link_throttle == {}
+        assert set(machine.network.link_throttle) == {None}
 
     def test_mc_throttle_slows_controller(self):
         pristine = Manycore(DEFAULT_CONFIG)

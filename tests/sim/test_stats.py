@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.sim.stats import (
     Comparison,
@@ -125,8 +125,13 @@ class TestAggregates:
         """A mix with a regression aggregates in ratio space, signed."""
         with pytest.warns(RuntimeWarning):
             value = geomean([10.0, -5.0])
-        # (1.10 * 0.95)^(1/2) - 1  =  +2.2262...%
-        assert value == pytest.approx(100.0 * (math.sqrt(1.10 * 0.95) - 1.0))
+        # Ratios 0.90 and 1.05: 1 - (0.90 * 1.05)^(1/2)  =  +2.7889...%
+        assert value == pytest.approx(100.0 * (1.0 - math.sqrt(0.90 * 1.05)))
+        with pytest.warns(RuntimeWarning):
+            # Ratios 0.5 and 1.5: the metrics shrank overall.
+            assert geomean([50.0, -50.0]) == pytest.approx(
+                100.0 * (1.0 - math.sqrt(0.75))
+            )
 
     def test_geomean_single_negative_is_identity(self):
         with pytest.warns(RuntimeWarning):
@@ -142,9 +147,14 @@ class TestAggregates:
             value = geomean([0.0, 0.0])
         assert value == pytest.approx(0.0)
 
-    def test_geomean_below_minus_100_is_nan(self):
-        with pytest.warns(RuntimeWarning, match="-100%"):
-            assert math.isnan(geomean([50.0, -150.0]))
+    def test_geomean_reduction_of_100_or_more_raises(self):
+        """A metric cut to zero has no ratio; a more-than-doubled one has."""
+        for values in ([100.0, -5.0], [150.0, 0.0]):
+            with pytest.raises(ValueError, match="100%"):
+                geomean(values)
+        with pytest.warns(RuntimeWarning):
+            # Ratios 2.5 and 0.9: (2.25)^(1/2) = 1.5, a 50% regression.
+            assert geomean([-150.0, 10.0]) == pytest.approx(-50.0)
 
     def test_geomean_all_positive_emits_no_warning(self):
         import warnings
@@ -162,3 +172,30 @@ class TestAggregates:
         with pytest.warns(RuntimeWarning):
             g = geomean(values)
         assert min(values) - 1e-6 <= g <= max(values) + 1e-6
+
+    @given(
+        st.lists(st.floats(-500.0, 99.0), min_size=1, max_size=20).filter(
+            lambda vs: min(vs) <= 0.0
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_geomean_signed_permutation_invariant(self, values, rng):
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        with pytest.warns(RuntimeWarning):
+            a, b = geomean(values), geomean(shuffled)
+        assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+    @given(
+        st.lists(st.floats(-500.0, 99.0), min_size=1, max_size=20).filter(
+            lambda vs: min(vs) <= 0.0
+        )
+    )
+    def test_geomean_signed_sign_follows_product_of_ratios(self, values):
+        """Net improvement (> 0) exactly when the ratios multiply to < 1."""
+        log_product = sum(math.log1p(-v / 100.0) for v in values)
+        assume(abs(log_product) > 1e-9)
+        with pytest.warns(RuntimeWarning):
+            g = geomean(values)
+        assert (g > 0.0) == (log_product < 0.0)
+        assert (g < 0.0) == (log_product > 0.0)
